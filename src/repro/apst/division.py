@@ -137,16 +137,24 @@ class UniformUnitsDivision(DivisionMethod):
         return self._step
 
     def nearest_cutoff(self, position: float) -> float:
-        position = min(max(position, self._start), self._total)
+        start, step, total = self._start, self._step, self._total
+        # clamp to [start, total] (comparisons, not min/max calls: this
+        # runs once per dispatched chunk)
+        if position < start:
+            position = start
+        if position > total:
+            position = total
         # half-up rounding: ties snap to the later cut-off, deterministically
-        k = math.floor((position - self._start) / self._step + 0.5)
-        snapped = self._start + k * self._step
-        if snapped > self._total:
-            snapped -= self._step
+        k = math.floor((position - start) / step + 0.5)
+        snapped = start + k * step
+        if snapped > total:
+            snapped -= step
         # the end of the load is always valid, and closer than the last step
-        if abs(self._total - position) < abs(snapped - position):
-            return self._total
-        return max(self._start, min(snapped, self._total))
+        if abs(total - position) < abs(snapped - position):
+            return total
+        if snapped > total:
+            snapped = total
+        return snapped if snapped > start else start
 
     def next_cutoff(self, position: float) -> float:
         if position >= self._total:
@@ -400,6 +408,11 @@ class LoadTracker:
     def __init__(self, division: DivisionMethod) -> None:
         self._division = division
         self._position = 0.0
+        # A division's extent never changes, so the total and the
+        # exhaustion tolerance are fixed here: ``exhausted`` runs several
+        # times per chunk and must not walk back to the division.
+        self._total = division.total_units
+        self._epsilon = 1e-9 * max(1.0, self._total)
 
     @property
     def division(self) -> DivisionMethod:
@@ -407,7 +420,7 @@ class LoadTracker:
 
     @property
     def total_units(self) -> float:
-        return self._division.total_units
+        return self._total
 
     @property
     def consumed(self) -> float:
@@ -415,30 +428,32 @@ class LoadTracker:
 
     @property
     def remaining(self) -> float:
-        return self._division.total_units - self._position
+        return self._total - self._position
 
     @property
     def exhausted(self) -> bool:
-        return self.remaining <= 1e-9 * max(1.0, self.total_units)
+        return self._total - self._position <= self._epsilon
 
     def take(self, requested_units: float) -> ChunkExtent:
         """Consume ~``requested_units`` from the front of the load."""
         if self.exhausted:
             raise DivisionError("load exhausted")
+        position = self._position
+        total = self._total
         if requested_units <= 0:
             raise DivisionError(f"requested chunk must be positive ({requested_units})")
-        total = self._division.total_units
-        target = min(self._position + requested_units, total)
-        snapped = self._division.nearest_cutoff(target)
-        if snapped <= self._position:
-            snapped = self._division.next_cutoff(self._position)
+        division = self._division
+        target = min(position + requested_units, total)
+        snapped = division.nearest_cutoff(target)
+        if snapped <= position:
+            snapped = division.next_cutoff(position)
         # absorb a tail that no further cut-off could split off
         if snapped < total:
-            after = self._division.next_cutoff(snapped)
-            if after >= total and (total - snapped) < (snapped - self._position):
+            after = division.next_cutoff(snapped)
+            if after >= total and (total - snapped) < (snapped - position):
                 # leftover is smaller than this chunk: absorb it now
                 snapped = total
-        extent = ChunkExtent(offset=self._position, units=snapped - self._position)
+        extent = ChunkExtent(position, snapped - position)
         self._position = snapped
         return extent
 
@@ -447,5 +462,5 @@ class LoadTracker:
         if self.exhausted:
             raise DivisionError("load exhausted")
         extent = ChunkExtent(offset=self._position, units=self.remaining)
-        self._position = self._division.total_units
+        self._position = self._total
         return extent

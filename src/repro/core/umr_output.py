@@ -25,6 +25,7 @@ machinery stays identical.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import replace
 
 from ..errors import InfeasibleScheduleError, SchedulingError
@@ -85,7 +86,7 @@ class OutputAwareUMR(UMR):
             plan = proportional_one_round(transformed, config.total_load)
             self._fallback = True
         self._plan_obj = plan
-        self._queue = self._build_queue(plan, phase="umr-out")
+        self._queue = deque(self._build_queue(plan, phase="umr-out"))
 
     def annotations(self) -> dict:
         out = super().annotations()

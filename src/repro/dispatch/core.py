@@ -32,6 +32,7 @@ handle is in effect.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
@@ -188,6 +189,7 @@ class DispatchCore:
         self._obs = self._options.observability or OBS_DISABLED
         # Cached for the per-chunk hot path: one indirection, no kwargs repack.
         self._bus = self._obs.bus
+        self._armed = self._obs.enabled
         self._tracker = LoadTracker(self._division)
         self._states = [
             WorkerState(index=i, name=w.name) for i, w in enumerate(grid.workers)
@@ -197,7 +199,7 @@ class DispatchCore:
         self._chunks: list[ChunkTrace] = []
         self._extents: dict[int, ChunkExtent] = {}
         self._attempts: dict[int, int] = {}
-        self._retry_queue: list[ChunkTrace] = []
+        self._retry_queue: deque[ChunkTrace] = deque()
         self._retransmits = 0
         self._results: dict[int, Path] = {}
         self._outstanding = 0
@@ -216,6 +218,9 @@ class DispatchCore:
         self._twin_origin: dict[int, int] = {}
         #: losing copies: late completion/failure callbacks are discarded
         self._abandoned: set[int] = set()
+        #: chunk_id -> the one ChunkInfo built at dispatch, reused for the
+        #: chunk's arrival and completion notices
+        self._infos: dict[int, ChunkInfo] = {}
         #: chunk_id -> the ChunkInfo the scheduler was told at dispatch
         #: time (escalated/adopted chunks complete on a different worker)
         self._notify_as: dict[int, ChunkInfo] = {}
@@ -465,7 +470,7 @@ class DispatchCore:
             self._detector = StragglerDetector(
                 self._resilience.straggler, self._estimates
             )
-        if self._obs.enabled:
+        if self._armed:
             self._obs.emit(
                 PROBE_FINISHED,
                 sim_time=0.0,
@@ -494,47 +499,51 @@ class DispatchCore:
         the scheduler observes the identical sequence of states on every
         backend.
         """
+        host = self._host
+        transport = self._transport
+        tracker = self._tracker
+        retry_queue = self._retry_queue
         idle_ticks = 0
         while True:
-            self._host.poll()
+            host.poll()
+            # Read once per iteration: only shipping a chunk or host
+            # progress changes them, and each of those restarts the loop.
+            busy = transport.busy
+            exhausted = tracker.exhausted
             if (
-                self._tracker.exhausted
+                exhausted
                 and self._outstanding == 0
-                and not self._retry_queue
-                and not self._transport.busy
+                and not retry_queue
+                and not busy
                 and self._pending_outputs == 0
             ):
                 return
-            if self._retry_queue and not self._transport.busy:
-                self._resend(self._retry_queue.pop(0))
+            if retry_queue and not busy:
+                self._resend(retry_queue.popleft())
                 idle_ticks = 0
                 continue
-            if not self._transport.busy and not self._tracker.exhausted:
+            if not busy and not exhausted:
                 request = self._next_dispatch()
                 if request is not None:
                     self._dispatch(request)
                     idle_ticks = 0
                     continue
-            if not self._transport.busy and self._maybe_speculate():
+            if not busy and self._detector is not None and self._maybe_speculate():
                 idle_ticks = 0
                 continue
-            if (
-                self._outstanding > 0
-                or self._transport.busy
-                or self._pending_outputs > 0
-            ):
+            if self._outstanding > 0 or busy or self._pending_outputs > 0:
                 if self._detector is not None and self._speculation_pending():
                     # A chunk may cross its straggler threshold while we
                     # wait; on hosts where wall time advances on its own,
                     # nap briefly and re-check instead of blocking until
                     # a completion that may never come.
-                    if self._host.idle_tick():
+                    if host.idle_tick():
                         idle_ticks = 0
                         continue
                     # Event-driven host with a drained queue: the stuck
                     # chunk will never complete on its own -- speculate
                     # regardless of the modeled elapsed time.
-                    if not self._host.wait():
+                    if not host.wait():
                         if self._maybe_speculate(force=True):
                             idle_ticks = 0
                             continue
@@ -544,7 +553,7 @@ class DispatchCore:
                         )
                     idle_ticks = 0
                     continue
-                if not self._host.wait():
+                if not host.wait():
                     raise SimulationError(
                         "dispatch core has in-flight work but no further "
                         "progress is possible (event queue drained)"
@@ -555,7 +564,7 @@ class DispatchCore:
             # time advances on its own, give it a moment; otherwise (and
             # after too many moments) this is a stall.
             idle_ticks += 1
-            if idle_ticks > _MAX_IDLE_TICKS or not self._host.idle_tick():
+            if idle_ticks > _MAX_IDLE_TICKS or not host.idle_tick():
                 raise SchedulingError(
                     f"{self._scheduler.name} stalled with "
                     f"{self._tracker.remaining:.3f} units undispatched "
@@ -591,26 +600,26 @@ class DispatchCore:
                 ("redirect", self._chunk_counter, request.worker_index, target)
             )
             request = replace(request, worker_index=target)
+        worker = request.worker_index
         extent = self._tracker.take(request.units)
+        units = extent.units
         now = self._clock.now()
+        cid = self._chunk_counter
+        round_index = request.round_index
+        phase = request.phase
+        # positional up to send_start: keyword calls cost more per chunk
         chunk = ChunkTrace(
-            chunk_id=self._chunk_counter,
-            worker_index=request.worker_index,
-            worker_name=self._grid.workers[request.worker_index].name,
-            units=extent.units,
-            offset=extent.offset,
-            round_index=request.round_index,
-            phase=request.phase,
-            send_start=now,
-            predicted_compute=self._estimates[request.worker_index].compute_time(
-                extent.units
-            ),
+            cid, worker, self._grid.workers[worker].name, units, extent.offset,
+            round_index, phase, now,
+            predicted_compute=self._estimates[worker].compute_time(units),
         )
-        self._chunk_counter += 1
+        info = ChunkInfo(cid, worker, units, round_index, phase)
+        self._chunk_counter = cid + 1
         self._chunks.append(chunk)
-        self._extents[chunk.chunk_id] = extent
-        self._attempts[chunk.chunk_id] = 1
-        if self._obs.enabled:
+        self._extents[cid] = extent
+        self._attempts[cid] = 1
+        self._infos[cid] = info
+        if self._armed:
             if request.round_index > self._max_round:
                 self._max_round = request.round_index
                 if self._bus is not None:
@@ -637,12 +646,12 @@ class DispatchCore:
             if self._m_dispatched is not None:
                 self._m_dispatched.inc()
                 self._m_units.inc(chunk.units)
-        state = self._states[request.worker_index]
+        state = self._states[worker]
         state.outstanding += 1
-        state.outstanding_units += extent.units
+        state.outstanding_units += units
         self._outstanding += 1
         self._open_chunk_span(chunk)
-        self._scheduler.notify_dispatched(self._info(chunk))
+        self._scheduler.notify_dispatched(info)
         self._transport.send(chunk, extent)
 
     def _resend(self, chunk: ChunkTrace) -> None:
@@ -658,14 +667,15 @@ class DispatchCore:
     # -- substrate callbacks ------------------------------------------------
     def chunk_arrived(self, chunk: ChunkTrace, payload: object) -> None:
         """The transport finished shipping ``chunk``; hand it to its worker."""
+        cid = chunk.chunk_id
         if (
-            self._attempts[chunk.chunk_id] == 1
-            and chunk.chunk_id not in self._twin_origin
-            and chunk.chunk_id not in self._notify_as
+            self._attempts[cid] == 1
+            and cid not in self._twin_origin
+            and cid not in self._notify_as
         ):
             # Twins and escalated re-dispatches are driver-internal: the
             # scheduler already saw this chunk arrive once.
-            self._scheduler.notify_arrival(self._info(chunk), self._clock.now())
+            self._scheduler.notify_arrival(self._infos[cid], self._clock.now())
         self._host.enqueue(chunk, payload)
 
     def chunk_completed(self, chunk: ChunkTrace, result_path: Path | None = None) -> None:
@@ -683,18 +693,21 @@ class DispatchCore:
             twin = self._twins.pop(cid, None)
             if twin is not None:
                 self._speculation_lost(chunk, twin)
+        units = chunk.units
+        compute_time = chunk.compute_time
         state = self._states[chunk.worker_index]
         state.outstanding -= 1
-        state.outstanding_units -= chunk.units
+        state.outstanding_units -= units
         state.completed_chunks += 1
-        state.completed_units += chunk.units
-        state.busy_time += chunk.compute_time
+        state.completed_units += units
+        state.busy_time += compute_time
         self._outstanding -= 1
         if result_path is not None:
-            self._results[chunk.chunk_id] = result_path
-        self._finish_chunk_span(chunk, compute_time=chunk.compute_time)
+            self._results[cid] = result_path
+        if self._chunk_spans:
+            self._finish_chunk_span(chunk, compute_time=compute_time)
         now = self._clock.now()
-        if self._obs.enabled:
+        if self._armed:
             if self._bus is not None:
                 self._bus.emit(
                     CHUNK_COMPLETED,
@@ -704,21 +717,19 @@ class DispatchCore:
                     worker_index=chunk.worker_index,
                     units=chunk.units,
                     queue_time=chunk.queue_time,
-                    compute_time=chunk.compute_time,
+                    compute_time=compute_time,
                 )
             if self._m_completed is not None:
                 self._m_completed.inc()
                 self._m_queue.observe(chunk.queue_time)
-                self._m_compute.observe(chunk.compute_time)
+                self._m_compute.observe(compute_time)
         if self._detector is not None:
-            self._detector.observe(
-                chunk.worker_index, chunk.units, chunk.compute_time
-            )
+            self._detector.observe(chunk.worker_index, units, compute_time)
         self._scheduler.notify_completion(
-            self._notify_as.pop(cid, None) or self._info(chunk),
+            self._notify_as.pop(cid, None) or self._infos[cid],
             now,
             predicted_time=chunk.predicted_compute,
-            actual_time=chunk.compute_time,
+            actual_time=compute_time,
         )
         if self._options.output_factor > 0 and self._transport.supports_outputs:
             self._pending_outputs += 1
@@ -765,7 +776,7 @@ class DispatchCore:
         self._outstanding -= 1
         chunk.send_start = chunk.send_end = -1.0
         chunk.compute_start = chunk.compute_end = -1.0
-        if self._obs.enabled:
+        if self._armed:
             if self._bus is not None:
                 self._bus.emit(
                     CHUNK_RETRANSMITTED,
@@ -903,7 +914,7 @@ class DispatchCore:
         self._decisions.append(
             ("speculate", original.chunk_id, original.worker_index, target)
         )
-        if self._obs.enabled:
+        if self._armed:
             if self._bus is not None:
                 self._bus.emit(
                     CHUNK_SPECULATED,
@@ -938,7 +949,7 @@ class DispatchCore:
         self._decisions.append(
             ("speculation_won", origin_id, original.worker_index, twin.worker_index)
         )
-        if self._obs.enabled:
+        if self._armed:
             if self._bus is not None:
                 self._bus.emit(
                     CHUNK_SPECULATION_WON,
@@ -966,7 +977,7 @@ class DispatchCore:
                 twin.worker_index,
             )
         )
-        if self._obs.enabled:
+        if self._armed:
             if self._bus is not None:
                 self._bus.emit(
                     CHUNK_SPECULATION_LOST,
@@ -994,7 +1005,7 @@ class DispatchCore:
         self._decisions.append(
             ("speculation_lost", origin_id, original.worker_index, twin.worker_index)
         )
-        if self._obs.enabled:
+        if self._armed:
             if self._bus is not None:
                 self._bus.emit(
                     CHUNK_SPECULATION_LOST,
@@ -1048,7 +1059,7 @@ class DispatchCore:
             )
         self._escalated_chunks += 1
         self._decisions.append(("escalate", chunk.chunk_id, failing, target))
-        if self._obs.enabled:
+        if self._armed:
             if self._bus is not None:
                 self._bus.emit(
                     CHUNK_ESCALATED,
@@ -1097,7 +1108,7 @@ class DispatchCore:
             f"worker {self._grid.workers[worker].name} quarantined: {reason}"
         )
         self._decisions.append(("quarantine", worker))
-        if self._obs.enabled:
+        if self._armed:
             if self._bus is not None:
                 self._bus.emit(
                     WORKER_QUARANTINED,
@@ -1125,6 +1136,8 @@ class DispatchCore:
     # -- bookkeeping --------------------------------------------------------
     @staticmethod
     def _info(chunk: ChunkTrace) -> ChunkInfo:
+        """The chunk as it stands now: escalated and speculative copies
+        are described afresh, not by the notice built at dispatch."""
         return ChunkInfo(
             chunk_id=chunk.chunk_id,
             worker_index=chunk.worker_index,

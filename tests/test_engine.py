@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs import EngineProfiler
 from repro.simulation.engine import SimulationEngine
 
 
@@ -144,3 +145,75 @@ class TestRunBounds:
             engine.schedule(1.0, lambda: None)
         engine.run()
         assert engine.processed_events == 5
+
+
+class TestHeapEntries:
+    """The heap holds plain ``[time, seq, callback, args]`` lists."""
+
+    def test_cancelled_head_is_skipped_by_step(self):
+        engine = SimulationEngine()
+        fired = []
+        head = engine.schedule(1.0, fired.append, "dead")
+        engine.schedule(2.0, fired.append, "alive")
+        head.cancel()
+        assert engine.step() is True
+        assert fired == ["alive"]
+        assert engine.now == 2.0
+        assert engine.processed_events == 1
+        assert engine.step() is False
+
+    def test_pending_events_and_run_until_skip_a_cancelled_head(self):
+        engine = SimulationEngine()
+        fired = []
+        head = engine.schedule(1.0, fired.append, "dead")
+        engine.schedule(5.0, fired.append, "late")
+        assert engine.pending_events == 2
+        head.cancel()
+        assert engine.pending_events == 1
+        engine.run(until=3.0)
+        assert fired == []
+        assert engine.now == 3.0
+        assert engine.pending_events == 1
+
+    def test_handle_reports_time_and_state(self):
+        engine = SimulationEngine()
+        dropped = engine.schedule(2.5, lambda: None)
+        kept = engine.schedule_at(4.0, lambda: None)
+        assert (dropped.time, dropped.cancelled) == (2.5, False)
+        dropped.cancel()
+        dropped.cancel()
+        assert (dropped.time, dropped.cancelled) == (2.5, True)
+        engine.run()
+        assert engine.processed_events == 1
+        assert (kept.time, kept.cancelled) == (4.0, False)
+
+    def test_same_time_events_fire_fifo(self):
+        """Ties break on the sequence number; callbacks are never compared."""
+        engine = SimulationEngine()
+        fired = []
+        engine.schedule(1.0, fired.append, "a")
+        engine.schedule_at(1.0, fired.append, "b")
+        engine.schedule(0.5, lambda: engine.schedule(0.5, fired.append, "d"))
+        engine.schedule(1.0, fired.append, "c")
+        engine.run()
+        assert fired == ["a", "b", "c", "d"]
+
+    def test_heap_time_going_backwards_raises(self):
+        engine = SimulationEngine()
+        engine.schedule(5.0, lambda: None)
+        engine.run()
+        # an entry earlier than ``now`` can only come from corruption
+        engine._heap.append([1.0, -1, lambda: None, ()])
+        with pytest.raises(SimulationError, match="time went backwards"):
+            engine.step()
+
+    def test_profiler_receives_heap_depth(self):
+        profiler = EngineProfiler()
+        engine = SimulationEngine(profiler=profiler)
+        for delay in (1.0, 2.0, 3.0):
+            engine.schedule(delay, lambda: None)
+        engine.schedule_at(4.0, lambda: None)
+        engine.run()
+        report = profiler.report()
+        assert report.heap_high_water == 4
+        assert report.events_processed == 4
