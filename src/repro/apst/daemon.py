@@ -361,17 +361,26 @@ class APSTDaemon:
         """Steal every expired lease left by a dead (or stalled) peer.
 
         RUNNING jobs whose lease lapsed are re-queued under this owner
-        for re-dispatch; the claim audit records them as ``steal``.
-        Returns how many leases were taken.
+        for re-dispatch; the claim audit records them as ``steal``.  So
+        are queued jobs of another shard that nobody claimed for a whole
+        lease: their owner died holding no lease at all.  Returns how
+        many jobs were taken.
 
         A successful steal is taken as proof the peer is dead, so this
         instance also starts claiming outside its own shard: the dead
-        shard's *queued* jobs carry no lease and would otherwise never
-        be picked up.  If the peer was merely stalled and comes back,
-        both daemons claim from the full queue -- claims stay atomic,
-        only the partitioning benefit is lost until a restart.
+        shard's *queued* jobs carry no lease and would otherwise only be
+        picked up one lease after their submission.  If the peer was
+        merely stalled and comes back, both daemons claim from the full
+        queue -- claims stay atomic, only the partitioning benefit is
+        lost until a restart.
         """
-        stolen = self._store.steal_expired(self._owner, lease_s=self._lease_s)
+        shard_index, shard_count = self._claim_shard()
+        stolen = self._store.steal_expired(
+            self._owner,
+            lease_s=self._lease_s,
+            shard_index=shard_index,
+            shard_count=shard_count,
+        )
         for record in stolen:
             self._claimed.add(record.job_id)
             self._job_for_record(record)

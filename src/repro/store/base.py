@@ -277,6 +277,8 @@ class JobStore(Protocol):
         *,
         lease_s: float,
         limit: int | None = None,
+        shard_index: int = 0,
+        shard_count: int = 1,
         now: float | None = None,
     ) -> list[StoredJob]:
         """Take over every expired lease held by *another* owner.
@@ -286,6 +288,12 @@ class JobStore(Protocol):
         are simply re-claimed.  Stolen jobs get ``owner`` and a fresh
         lease, their attempt count increments, and the claim audit
         records kind ``steal``.
+
+        A caller claiming shard ``shard_index`` of ``shard_count`` also
+        takes the unowned QUEUED jobs of the *other* shards that nobody
+        claimed for a whole ``lease_s``: a live peer claims its shard's
+        queue well within one lease, so such a job is orphaned just like
+        an expired lease (its shard's owner died holding no lease).
         """
         ...
 

@@ -229,6 +229,8 @@ class MemoryStore:
         *,
         lease_s: float,
         limit: int | None = None,
+        shard_index: int = 0,
+        shard_count: int = 1,
         now: float | None = None,
     ) -> list[StoredJob]:
         at = time.time() if now is None else now
@@ -237,11 +239,19 @@ class MemoryStore:
                 (
                     job
                     for job in self._jobs.values()
-                    if job.state in (QUEUED, RUNNING)
-                    and job.owner is not None
-                    and job.owner != owner
-                    and job.lease_expires_at is not None
-                    and job.lease_expires_at < at
+                    if (
+                        job.state in (QUEUED, RUNNING)
+                        and job.owner is not None
+                        and job.owner != owner
+                        and job.lease_expires_at is not None
+                        and job.lease_expires_at < at
+                    )
+                    or (
+                        job.state == QUEUED
+                        and (job.owner is None or job.lease_expires_at is None)
+                        and job.updated_at < at - lease_s
+                        and tenant_shard(job.tenant, shard_count) != shard_index
+                    )
                 ),
                 key=admission_sort_key,
             )

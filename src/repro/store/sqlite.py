@@ -384,6 +384,8 @@ class SqliteStore:
         *,
         lease_s: float,
         limit: int | None = None,
+        shard_index: int = 0,
+        shard_count: int = 1,
         now: float | None = None,
     ) -> list[StoredJob]:
         at = time.time() if now is None else now
@@ -393,11 +395,19 @@ class SqliteStore:
             try:
                 rows = self._conn.execute(
                     f"SELECT {_JOB_COLUMNS} FROM jobs "
-                    "WHERE state IN (?, ?) AND owner IS NOT NULL "
-                    "AND owner != ? AND lease_expires_at IS NOT NULL "
-                    "AND lease_expires_at < ? "
+                    "WHERE (state IN (?, ?) AND owner IS NOT NULL "
+                    "       AND owner != ? AND lease_expires_at IS NOT NULL "
+                    "       AND lease_expires_at < ?) "
+                    "   OR (state = ? "
+                    "       AND (owner IS NULL OR lease_expires_at IS NULL) "
+                    "       AND updated_at < ? "
+                    "       AND (tenant_hash % ?) != ?) "
                     f"{_CLAIM_ORDER} LIMIT ?",
-                    (QUEUED, RUNNING, owner, at, bound),
+                    (
+                        QUEUED, RUNNING, owner, at,
+                        QUEUED, at - lease_s, shard_count, shard_index,
+                        bound,
+                    ),
                 ).fetchall()
                 stolen = []
                 for row in rows:

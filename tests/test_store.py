@@ -216,6 +216,30 @@ class TestSharding:
         for job in shard1:
             assert tenant_shard(job.tenant, 2) == 1
 
+    def test_steal_takes_other_shards_jobs_unclaimed_for_a_lease(self, store):
+        tenants = [f"tenant-{i}" for i in range(8)]
+        for tenant in tenants:
+            store.insert_job(spec_xml="<a/>", tenant=tenant, now=1.0)
+        # an unsharded caller has no other shard to cover
+        assert store.steal_expired("d1", lease_s=5.0, now=100.0) == []
+        # shard 0's jobs have waited less than a lease: its owner may be alive
+        assert store.steal_expired(
+            "d1", lease_s=5.0, shard_index=1, shard_count=2, now=5.0
+        ) == []
+        stolen = store.steal_expired(
+            "d1", lease_s=5.0, shard_index=1, shard_count=2, now=7.0
+        )
+        expected = [t for t in tenants if tenant_shard(t, 2) == 0]
+        assert sorted(job.tenant for job in stolen) == sorted(expected)
+        assert all(
+            job.state == "queued" and job.owner == "d1" and job.attempt == 1
+            for job in stolen
+        )
+        assert {r.kind for r in store.claim_audit()} == {"steal"}
+        # the caller's own shard is left to its ordinary claim
+        own = store.claim("d1", lease_s=5.0, shard_index=1, shard_count=2, now=8.0)
+        assert len(own) == len(tenants) - len(expected)
+
     def test_shard_count_must_be_positive(self):
         with pytest.raises(StoreError):
             tenant_shard("acme", 0)
@@ -432,6 +456,32 @@ class TestDaemonOnStore:
         daemon.run_pending()
         with pytest.raises(SpecificationError, match="only queued"):
             daemon.cancel(job_id)
+
+    def test_takeover_covers_a_peer_that_died_holding_no_lease(self, tmp_path):
+        """A sharded peer that dies between claims leaves queued jobs with
+        no lease; the survivor takes them one lease after submission."""
+        workspace = self._workspace(tmp_path)
+        store = MemoryStore()
+        survivor = self._daemon(
+            workspace, store, lease_s=30.0, shard_index=1, shard_count=2
+        )
+        orphan_tenant = next(
+            t for t in (f"tenant-{i}" for i in range(8)) if tenant_shard(t, 2) == 0
+        )
+        job_id = survivor.submit(TASK_XML, tenant=orphan_tenant)
+        assert survivor.takeover() == 0
+        assert not survivor.has_pending()
+        survivor.lease_s = 0.05
+        import time as _time
+
+        _time.sleep(0.1)
+        assert survivor.takeover() == 1
+        assert survivor.run_pending() == [job_id]
+        assert survivor.job(job_id).state is JobState.DONE
+        assert [r.kind for r in store.claim_audit()] == ["steal"]
+        # the dead shard is now covered: its new jobs are claimed at once
+        later = survivor.submit(TASK_XML, tenant=orphan_tenant)
+        assert survivor.run_pending() == [later]
 
     def test_shard_assignment_validates(self, tmp_path):
         workspace = self._workspace(tmp_path)
