@@ -15,6 +15,7 @@ against stock UMR under probe error and uncertainty.
 
 from __future__ import annotations
 
+from .._util import ordered_sum
 from ..errors import InfeasibleScheduleError
 from ..platform.resources import WorkerSpec
 from .base import ChunkInfo, DispatchRequest, Scheduler, SchedulerConfig, WorkerState
@@ -152,7 +153,7 @@ class AdaptiveUMR(Scheduler):
         future = [r for r in self._queue if r.round_index not in self._rounds_started]
         if not future:
             return
-        load = sum(r.units for r in future)
+        load = ordered_sum(r.units for r in future)
         if load < self.config.quantum * len(self._speeds):
             return
         keep = [r for r in self._queue if r.round_index in self._rounds_started]

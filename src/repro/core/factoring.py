@@ -19,6 +19,7 @@ via Hagerup's experimental study], used by the ablation benches.
 
 from __future__ import annotations
 
+from .._util import ordered_sum
 from ..errors import SchedulingError
 from ..platform.resources import WorkerSpec
 from .base import DispatchRequest, Scheduler, SchedulerConfig, WorkerState
@@ -117,7 +118,7 @@ class WeightedFactoring(Scheduler):
     def _derive_min_chunk(estimates: list[WorkerSpec]) -> float:
         """Platform-mean variant, used by schedulers with a single floor."""
         per_worker = WeightedFactoring._derive_min_chunks(estimates)
-        return sum(per_worker) / len(per_worker)
+        return ordered_sum(per_worker) / len(per_worker)
 
     # -- dispatch -----------------------------------------------------------
     def next_dispatch(self, now: float, workers: list[WorkerState]) -> DispatchRequest | None:
@@ -149,7 +150,7 @@ class WeightedFactoring(Scheduler):
 
     def _chunk_size(self, worker_index: int, remaining: float) -> float:
         if self._weighted:
-            total_speed = sum(self._speeds)
+            total_speed = ordered_sum(self._speeds)
             weight = self._speeds[worker_index] / total_speed
         else:
             weight = 1.0 / len(self._speeds)
@@ -175,7 +176,7 @@ class WeightedFactoring(Scheduler):
         self._adaptations += 1
 
     def annotations(self) -> dict:
-        mean_floor = sum(self._min_chunks) / len(self._min_chunks)
+        mean_floor = ordered_sum(self._min_chunks) / len(self._min_chunks)
         return {
             "min_chunk": round(mean_floor, 3),
             "factor": self._factor,

@@ -16,6 +16,7 @@ ratio ``B / (N * S)`` (no additive term, since there are no latencies).
 
 from __future__ import annotations
 
+from .._util import ordered_sum
 from ..errors import SchedulingError
 from .base import DispatchRequest, Scheduler, SchedulerConfig, WorkerState
 
@@ -43,14 +44,14 @@ class MultiInstallment(Scheduler):
     def _plan(self, config: SchedulerConfig) -> None:
         n = config.num_workers
         # homogeneous approximation: mean speed / bandwidth
-        mean_speed = sum(w.speed for w in config.estimates) / n
-        mean_bw = sum(w.bandwidth for w in config.estimates) / n
+        mean_speed = ordered_sum(w.speed for w in config.estimates) / n
+        mean_bw = ordered_sum(w.bandwidth for w in config.estimates) / n
         ratio = mean_bw / (n * mean_speed)
         if ratio <= 0:
             raise SchedulingError("degenerate platform for multi-installment")
         # per-round per-worker chunk: geometric series alpha_j = alpha_0 * ratio^j
         weights = [ratio**j for j in range(self._rounds)]
-        total_weight = n * sum(weights)
+        total_weight = n * ordered_sum(weights)
         alpha0 = config.total_load / total_weight
         self._queue = [
             DispatchRequest(

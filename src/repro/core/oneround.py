@@ -26,6 +26,7 @@ literature).
 
 from __future__ import annotations
 
+from .._util import ordered_sum
 from ..errors import InfeasibleScheduleError, SchedulingError
 from ..platform.resources import WorkerSpec
 from .base import DispatchRequest, Scheduler, SchedulerConfig, WorkerState
@@ -102,8 +103,8 @@ def _solve_active(
         slope = (1.0 / w.speed) / denom
         p.append(const + slope * p[i])
         q.append(slope * q[i])
-    sum_p = sum(p)
-    sum_q = sum(q)
+    sum_p = ordered_sum(p)
+    sum_q = ordered_sum(q)
     if sum_q <= 0:
         raise InfeasibleScheduleError("degenerate one-round system")
     a0 = (total_load - sum_p) / sum_q

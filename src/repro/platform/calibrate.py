@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .._util import check_positive
+from .._util import check_positive, ordered_sum
 from ..errors import PlatformError
 from .resources import Cluster, Grid, WorkerSpec
 
@@ -68,7 +68,7 @@ def calibrate_cluster(
             )
         if min(factors) <= 0:
             raise PlatformError("speed factors must be positive")
-    scale = total_speed / sum(factors)
+    scale = total_speed / ordered_sum(factors)
     workers = tuple(
         WorkerSpec(
             name=f"{name}-{i:02d}",
@@ -105,7 +105,7 @@ def platform_summary(grid: Grid) -> dict:
         "comm_comp_ratio": grid.comm_comp_ratio,
         "speed_min": min(speeds),
         "speed_max": max(speeds),
-        "bandwidth_mean": sum(bandwidths) / len(bandwidths),
-        "comm_latency_mean": sum(w.comm_latency for w in grid.workers) / len(grid),
-        "comp_latency_mean": sum(w.comp_latency for w in grid.workers) / len(grid),
+        "bandwidth_mean": ordered_sum(bandwidths) / len(bandwidths),
+        "comm_latency_mean": ordered_sum(w.comm_latency for w in grid.workers) / len(grid),
+        "comp_latency_mean": ordered_sum(w.comp_latency for w in grid.workers) / len(grid),
     }

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .._util import check_nonnegative, check_positive
+from .._util import check_nonnegative, check_positive, ordered_sum
 from ..errors import PlatformError
 
 
@@ -213,7 +213,7 @@ class Grid:
     @property
     def total_speed(self) -> float:
         """Aggregate compute rate ``sum(S_i)`` in units/second."""
-        return sum(w.speed for w in self.workers)
+        return ordered_sum(w.speed for w in self.workers)
 
     @property
     def mean_speed(self) -> float:
@@ -226,7 +226,7 @@ class Grid:
         For the homogeneous clusters of the paper this coincides with the
         per-worker ratio (r = 37 on DAS-2, r = 46 on Meteor).
         """
-        mean_bw = sum(w.bandwidth for w in self.workers) / len(self.workers)
+        mean_bw = ordered_sum(w.bandwidth for w in self.workers) / len(self.workers)
         return mean_bw / self.mean_speed
 
     def index_of(self, worker_name: str) -> int:

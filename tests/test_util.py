@@ -10,6 +10,7 @@ from repro._util import (
     cumulative_sums,
     format_seconds,
     mean,
+    ordered_sum,
     require,
 )
 from repro.errors import ReproError
@@ -59,6 +60,12 @@ class TestNumerics:
 
     def test_cov_zero_mean(self):
         assert coefficient_of_variation([-1.0, 1.0]) == 0.0
+
+    def test_ordered_sum_adds_left_to_right(self):
+        # a compensated sum (the builtin on Python >= 3.12) gives 2.0 here
+        assert ordered_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+        assert ordered_sum(x for x in (0.1, 0.2, 0.3)) == (0.1 + 0.2) + 0.3
+        assert ordered_sum([]) == 0.0
 
     def test_cumulative_sums(self):
         assert cumulative_sums([1.0, 2.0, 3.0]) == [1.0, 3.0, 6.0]
