@@ -24,7 +24,8 @@ import tempfile
 from pathlib import Path
 
 from repro.apst import APSTClient, APSTDaemon, DaemonConfig
-from repro.execution import LocalExecutionBackend, ProcessExecutionBackend, app_spec
+from repro.execution import LocalExecutionBackend, app_spec
+from repro.net import RemoteExecutionBackend, RemoteWorkerPool
 from repro.platform.presets import grail_lan
 from repro.workloads.video import (
     VideoEncodeApp,
@@ -45,8 +46,8 @@ def main() -> None:
     parser.add_argument("--backend", choices=("threads", "process"),
                         default="threads",
                         help="worker isolation: in-process threads, or one "
-                             "OS process per worker (closest to APST's "
-                             "Ssh-launched remote workers)")
+                             "socket worker process per worker on loopback "
+                             "(closest to APST's Ssh-launched remote workers)")
     args = parser.parse_args()
 
     workdir = Path(tempfile.mkdtemp(prefix="apstdv_case_study_"))
@@ -69,20 +70,22 @@ def main() -> None:
     # steps 2-6: daemon divides, ships, encodes, collects
     grid = grail_lan(total_load=float(args.frames),
                      ideal_compute_time=700.0 * args.frames / 1830.0)
-    if args.backend == "process":
-        backend = ProcessExecutionBackend(
-            workdir / "work", app_spec=app_spec(VideoEncodeApp), time_scale=0.01
-        )
-    else:
-        backend = LocalExecutionBackend(
-            workdir / "work", app=VideoEncodeApp(), time_scale=0.01
-        )
-    daemon = APSTDaemon(grid, backend=backend, config=DaemonConfig(base_dir=workdir))
-    client = APSTClient(daemon)
-    job_id = client.submit(xml)
-    client.run()
-    report = client.report(job_id)
-    print(report.render())
+    with RemoteWorkerPool() as pool:  # reaps the socket workers, if any
+        if args.backend == "process":
+            endpoints = pool.spawn(
+                len(grid.workers), app_spec(VideoEncodeApp), workdir / "workers"
+            )
+            backend = RemoteExecutionBackend(endpoints, workdir / "work", time_scale=0.01)
+        else:
+            backend = LocalExecutionBackend(
+                workdir / "work", app=VideoEncodeApp(), time_scale=0.01
+            )
+        daemon = APSTDaemon(grid, backend=backend, config=DaemonConfig(base_dir=workdir))
+        client = APSTClient(daemon)
+        job_id = client.submit(xml)
+        client.run()
+        report = client.report(job_id)
+        print(report.render())
 
     # step 7: the user merges the outputs with avimerge
     outputs = client.outputs(job_id)

@@ -34,7 +34,8 @@ PROTOCOLS_REL = "dispatch/protocols.py"
 PROTOCOL_NAMES: tuple[str, ...] = ("Clock", "Transport", "ComputeHost")
 
 #: adapter file -> {adapter class -> protocol it implements}.  One entry
-#: per execution substrate (simulation, threaded, process, remote).
+#: per execution substrate (simulation, threaded, socket workers); the
+#: socket-worker substrate reuses the threaded clock and transport.
 DEFAULT_ADAPTERS: Mapping[str, Mapping[str, str]] = {
     "simulation/master.py": {
         "_SimClock": "Clock",
@@ -43,15 +44,10 @@ DEFAULT_ADAPTERS: Mapping[str, Mapping[str, str]] = {
     },
     "execution/local.py": {
         "ScaledWallClock": "Clock",
-        "_LocalTransport": "Transport",
+        "SerialLinkTransport": "Transport",
         "_LocalThreadHost": "ComputeHost",
     },
-    "execution/process_backend.py": {
-        "_ProcessTransport": "Transport",
-        "_ProcessHost": "ComputeHost",
-    },
     "net/remote.py": {
-        "_RemoteTransport": "Transport",
         "_RemoteHost": "ComputeHost",
     },
 }

@@ -7,7 +7,7 @@ real AST rules with fixture tests:
   execution and simulation packages provide substrates (clock +
   transport + compute host) and must never import ``core.base`` or
   touch ``next_dispatch``; the day a backend grows its own drive loop
-  is the day the four substrates stop making identical decisions.
+  is the day the three substrates stop making identical decisions.
 
 * **bare-print** -- library code reports through the ``repro.obs``
   logging bridge so ``-v``/``-q`` apply uniformly.  ``print`` is
@@ -44,7 +44,6 @@ PRINT_EXEMPT: frozenset[str] = frozenset(
         "cli.py",
         "apst/console.py",
         "analysis/lint/cli.py",
-        "execution/worker_proc.py",
         "workloads/video_callback.py",
     }
 )

@@ -13,8 +13,8 @@ Two backends exist:
   for the paper's Grid testbed);
 * any object implementing :class:`ExecutionBackend` -- notably
   :class:`repro.execution.LocalExecutionBackend` and
-  :class:`repro.execution.ProcessExecutionBackend`, which really move
-  chunk bytes and really compute.
+  :class:`repro.net.RemoteExecutionBackend`, which really move chunk
+  bytes and really compute.
 
 Either way the scheduler-driving loop is the shared
 :class:`~repro.dispatch.core.DispatchCore`; a backend merely supplies its

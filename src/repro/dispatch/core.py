@@ -2,7 +2,7 @@
 
 APST-DV's daemon drives a DLS algorithm over *some* execution mechanism
 -- the paper's deployments use Ssh/Scp/Globus, our reproduction uses a
-discrete-event simulation, a thread pool, or worker processes -- and the
+discrete-event simulation, a thread pool, or socket workers -- and the
 whole point of the architecture (paper Section 3) is that the scheduler
 cannot tell which.  :class:`DispatchCore` is that loop, written once:
 
@@ -21,7 +21,7 @@ What differs per backend arrives as a
 :class:`~repro.dispatch.protocols.DispatchSubstrate` (clock, transport,
 compute host, probe cost source); the backends themselves are thin
 adapters in :mod:`repro.simulation.master`, :mod:`repro.execution.local`
-and :mod:`repro.execution.process_backend`.
+and :mod:`repro.net.remote`.
 
 Observability (``chunk.dispatched`` / ``chunk.completed`` /
 ``probe.finished`` events, chunk metrics, probe/plan/run spans) is
@@ -364,7 +364,7 @@ class DispatchCore:
         "adopt"|"escalate"|"redirect", chunk_id, from_worker, to_worker)``,
         ``("quarantine", worker)``, ``("probe_failure", worker)``.  The
         failure-injection parity harness pins this sequence identical
-        across all four backends.
+        across all three backends.
         """
         return list(self._decisions)
 

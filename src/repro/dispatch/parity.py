@@ -46,7 +46,7 @@ from .core import DispatchCore, DispatchOptions
 from .protocols import RetryPolicy
 
 #: Backend kinds understood by :func:`run_backend`.
-BACKENDS = ("simulation", "local", "process", "remote")
+BACKENDS = ("simulation", "local", "remote")
 
 #: Schedulers whose dispatch queue is fixed once estimates are known.
 TIMING_INDEPENDENT_ALGORITHMS = ("simple-1", "simple-2", "simple-5", "umr")
@@ -106,17 +106,6 @@ def run_backend(
 
         backend = LocalExecutionBackend(
             Path(workdir) / "local", time_scale=time_scale
-        )
-        return backend.execute(grid, scheduler, division, None, options=opts)
-    if kind == "process":
-        from ..execution.appspec import app_spec
-        from ..execution.local import DigestApp
-        from ..execution.process_backend import ProcessExecutionBackend
-
-        backend = ProcessExecutionBackend(
-            Path(workdir) / "process",
-            app_spec=app_spec(DigestApp),
-            time_scale=time_scale,
         )
         return backend.execute(grid, scheduler, division, None, options=opts)
     if kind == "remote":
@@ -299,17 +288,6 @@ def _scenario_substrate(
 
         backend = LocalExecutionBackend(
             Path(workdir) / "local", time_scale=time_scale
-        )
-        return backend.substrate(grid, division), None
-    if kind == "process":
-        from ..execution.appspec import app_spec
-        from ..execution.local import DigestApp
-        from ..execution.process_backend import ProcessExecutionBackend
-
-        backend = ProcessExecutionBackend(
-            Path(workdir) / "process",
-            app_spec=app_spec(DigestApp),
-            time_scale=time_scale,
         )
         return backend.substrate(grid, division), None
     if kind == "remote":

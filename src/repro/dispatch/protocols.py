@@ -9,12 +9,11 @@ protocols:
 * :class:`Clock` -- where "now" comes from: the discrete-event engine's
   simulated clock, or scaled wall time;
 * :class:`Transport` -- how a chunk physically reaches a worker: a
-  modeled transfer on the simulated serialized link, an inbox-directory
-  write behind a scaled sleep, or a chunk file plus a JSON-lines pipe
-  command;
+  modeled transfer on the simulated serialized link, or the real chunk
+  bytes handed over behind a scaled sleep;
 * :class:`ComputeHost` -- where chunk computation happens: simulated
-  worker event queues, one thread per worker, or one OS process per
-  worker.
+  worker event queues, one thread per worker, or one socket worker
+  process per worker.
 
 Everything else -- the probe phase, scheduler driving, division
 snapping, serialized-link arbitration, retry/retransmit policy,

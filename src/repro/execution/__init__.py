@@ -1,12 +1,14 @@
-"""Real execution backends: threaded (in-process) and multi-process."""
+"""Real in-process execution: the threaded backend and app loading.
+
+Socket workers, one OS process per worker, live in :mod:`repro.net`
+(``RemoteWorkerPool`` + ``RemoteExecutionBackend``).
+"""
 
 from .appspec import app_spec, load_app
 from .local import AppProcessor, DigestApp, LocalExecutionBackend
-from .process_backend import ProcessExecutionBackend
 
 __all__ = [
     "LocalExecutionBackend",
-    "ProcessExecutionBackend",
     "AppProcessor",
     "DigestApp",
     "load_app",

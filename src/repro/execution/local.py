@@ -87,8 +87,13 @@ def payload_for(
     return bytes(min(int(extent.units), payload_cap))
 
 
-class _LocalTransport:
-    """The master thread sleeping through the transfer IS the serialized link."""
+class SerialLinkTransport:
+    """The master thread sleeping through the transfer IS the serialized link.
+
+    Shared by every wall-clock substrate: it extracts the chunk payload,
+    holds the link for the modeled transfer duration, and hands the bytes
+    to the compute host (worker threads, or socket workers).
+    """
 
     supports_outputs = False
 
@@ -122,7 +127,7 @@ class _LocalTransport:
         self._core.chunk_arrived(chunk, payload)
 
     def send_output(self, chunk: ChunkTrace, units: float) -> None:
-        raise ExecutionError("local transport does not ship outputs over the link")
+        raise ExecutionError("the serial link transport does not ship outputs")
 
 
 @dataclass
@@ -245,7 +250,34 @@ class _LocalThreadHost:
             self._completions.put(("crash", None, f"worker thread failed: {exc}"))
 
 
-class _LocalProbeCosts:
+class ScaledProbeCosts:
+    """Probe costs on a scaled wall clock: transfers sleep the modeled time.
+
+    Subclasses measure the probe computation on their own workers.
+    """
+
+    def __init__(
+        self,
+        grid: Grid,
+        division: DivisionMethod,
+        clock: ScaledWallClock,
+        scale: float,
+        payload_cap: int,
+    ) -> None:
+        self._grid = grid
+        self._division = division
+        self._clock = clock
+        self._scale = scale
+        self._payload_cap = payload_cap
+
+    def realized_transfer_time(self, index: int, units: float) -> float:
+        spec = self._grid.workers[index]
+        start = self._clock.now()
+        self._clock.sleep_model(spec.transfer_time(units))
+        return max(1e-9, self._clock.now() - start)
+
+
+class _LocalProbeCosts(ScaledProbeCosts):
     """Measured probe costs: scaled sleeps for transfers, real app computes."""
 
     def __init__(
@@ -257,18 +289,8 @@ class _LocalProbeCosts:
         scale: float,
         payload_cap: int,
     ) -> None:
-        self._grid = grid
-        self._division = division
+        super().__init__(grid, division, clock, scale, payload_cap)
         self._app = app
-        self._clock = clock
-        self._scale = scale
-        self._payload_cap = payload_cap
-
-    def realized_transfer_time(self, index: int, units: float) -> float:
-        spec = self._grid.workers[index]
-        start = self._clock.now()
-        self._clock.sleep_model(spec.transfer_time(units))
-        return max(1e-9, self._clock.now() - start)
 
     def realized_compute_time(self, index: int, units: float) -> float:
         spec = self._grid.workers[index]
@@ -333,7 +355,7 @@ class LocalExecutionBackend:
         clock = ScaledWallClock(self._scale)
         return DispatchSubstrate(
             clock=clock,
-            transport=_LocalTransport(grid, division, clock, self._payload_cap),
+            transport=SerialLinkTransport(grid, division, clock, self._payload_cap),
             host=_LocalThreadHost(grid, self._app, self._workdir, clock, self._scale),
             probe_costs=_LocalProbeCosts(
                 grid, division, self._app, clock, self._scale, self._payload_cap

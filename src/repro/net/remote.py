@@ -1,14 +1,16 @@
 """Remote execution backend: chunks shipped to socket workers.
 
-This is the fourth execution substrate of the unified dispatch core --
-and the first where the worker really is a separate endpoint reached
-over a network socket, which is what the paper means by scheduling on
-*grid* platforms.  The scheduling loop is still the shared
-:class:`~repro.dispatch.core.DispatchCore`; this module contributes:
+This is the third execution substrate of the unified dispatch core --
+the one where each worker is a separate OS process reached over a
+network socket, which is what the paper means by scheduling on *grid*
+platforms.  The scheduling loop is still the shared
+:class:`~repro.dispatch.core.DispatchCore`, and the serialized link is
+the threaded backend's
+:class:`~repro.execution.local.SerialLinkTransport` (the master thread
+extracts the chunk payload, holds the link for the modeled transfer
+duration, and hands the bytes to the compute host); this module
+contributes:
 
-* :class:`_RemoteTransport` -- the master thread extracts the chunk
-  payload, holds the serialized link for the modeled transfer duration,
-  and hands the bytes to the compute host;
 * :class:`_RemoteHost` -- a :class:`~repro.dispatch.protocols.ComputeHost`
   holding one TCP connection per grid worker to a
   :mod:`repro.net.worker` process: chunk bytes go out base64-framed,
@@ -48,7 +50,12 @@ from ..errors import ExecutionError
 from ..obs import NET_WORKER_LOST, OBS_DISABLED, Observability
 from ..platform.resources import Grid
 from ..simulation.trace import ChunkTrace, ExecutionReport
-from ..execution.local import ScaledWallClock, payload_for
+from ..execution.local import (
+    ScaledProbeCosts,
+    ScaledWallClock,
+    SerialLinkTransport,
+    payload_for,
+)
 from .protocol import decode_payload, encode_payload, parse_frame
 
 
@@ -180,6 +187,9 @@ class RemoteWorkerPool:
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait()
+            for stream in (process.stdout, process.stderr):
+                if stream is not None:
+                    stream.close()
         self.endpoints.clear()
 
     def __enter__(self) -> "RemoteWorkerPool":
@@ -531,49 +541,7 @@ class _RemoteHost:
             self._completions.put(reply)  # not ours; recycle
 
 
-class _RemoteTransport:
-    """Payload extraction + scaled sleep: the master thread IS the link."""
-
-    supports_outputs = False
-
-    def __init__(
-        self,
-        grid: Grid,
-        division: DivisionMethod,
-        clock: ScaledWallClock,
-        payload_cap: int,
-    ) -> None:
-        self._grid = grid
-        self._division = division
-        self._clock = clock
-        self._payload_cap = payload_cap
-        self._busy_time = 0.0
-        self._core: DispatchCore | None = None
-
-    def bind(self, core: DispatchCore) -> None:
-        self._core = core
-
-    @property
-    def busy(self) -> bool:
-        return False  # send() blocks, so the link is free between calls
-
-    @property
-    def busy_time(self) -> float:
-        return self._busy_time
-
-    def send(self, chunk: ChunkTrace, extent: ChunkExtent) -> None:
-        payload = payload_for(self._division, extent, self._payload_cap)
-        duration = self._grid.workers[chunk.worker_index].transfer_time(extent.units)
-        self._clock.sleep_model(duration)
-        self._busy_time += duration
-        chunk.send_end = self._clock.now()
-        self._core.chunk_arrived(chunk, payload)
-
-    def send_output(self, chunk: ChunkTrace, units: float) -> None:
-        raise ExecutionError("remote transport does not ship outputs over the link")
-
-
-class _RemoteProbeCosts:
+class _RemoteProbeCosts(ScaledProbeCosts):
     """Measured probe costs: scaled transfer sleeps, real remote computes."""
 
     def __init__(
@@ -585,18 +553,8 @@ class _RemoteProbeCosts:
         scale: float,
         payload_cap: int,
     ) -> None:
-        self._grid = grid
-        self._division = division
+        super().__init__(grid, division, clock, scale, payload_cap)
         self._host = host
-        self._clock = clock
-        self._scale = scale
-        self._payload_cap = payload_cap
-
-    def realized_transfer_time(self, index: int, units: float) -> float:
-        spec = self._grid.workers[index]
-        start = self._clock.now()
-        self._clock.sleep_model(spec.transfer_time(units))
-        return max(1e-9, self._clock.now() - start)
 
     def realized_compute_time(self, index: int, units: float) -> float:
         spec = self._grid.workers[index]
@@ -679,7 +637,7 @@ class RemoteExecutionBackend:
         )
         return DispatchSubstrate(
             clock=clock,
-            transport=_RemoteTransport(grid, division, clock, self._payload_cap),
+            transport=SerialLinkTransport(grid, division, clock, self._payload_cap),
             host=host,
             probe_costs=_RemoteProbeCosts(
                 grid, division, host, clock, self._scale, self._payload_cap

@@ -16,11 +16,13 @@ reply    ``{"chunk_id": 7, "status": "ok", "result_b64": "...",
             "wall_time": 0.0512}``
 
 ``min_wall_time`` (wall seconds) pads real processing up to the modeled
-compute cost, exactly like the pipe-driven process backend, so reply
-arrival times are meaningful to the scheduler.  ``{"cmd": "ping"}``
-answers liveness probes; ``{"cmd": "shutdown"}`` exits cleanly.  A bad
-chunk is reported as ``{"status": "error", ...}`` and the worker keeps
-serving -- one poisoned chunk must not take the node down.
+compute cost, exactly like the threaded backend's worker threads, so
+reply arrival times are meaningful to the scheduler.  ``{"cmd": "ping"}``
+answers liveness probes; ``{"cmd": "shutdown"}`` exits cleanly, and so
+does SIGTERM or SIGINT, promptly even while a master holds the
+connection.  A bad chunk is reported as ``{"status": "error", ...}``
+and the worker keeps serving -- one poisoned chunk must not take the
+node down.
 
 On startup the worker prints one JSON line to stdout --
 ``{"status": "ready", "host": ..., "port": ...}`` -- so launchers can
@@ -84,6 +86,10 @@ class SocketWorker:
         self._drop_forever = drop_forever
         self._processed = 0
         self._shutdown = False
+        #: guards _shutdown against the accept loop publishing _conn, so
+        #: close() either sees the live connection or the loop sees the flag
+        self._lock = threading.Lock()
+        self._conn: socket.socket | None = None
         self._listener = socket.create_server((host, port))
         self._listener.settimeout(0.5)
         self.host, self.port = self._listener.getsockname()[:2]
@@ -110,11 +116,22 @@ class SocketWorker:
             self._buffer = None
 
     def close(self) -> None:
-        self._shutdown = True
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        """Stop serving, from any thread; idempotent.
+
+        Shutting the sockets down (not just closing them) wakes
+        ``serve_forever`` wherever it blocks: in ``accept`` or reading the
+        master's connection.  ``serve_forever`` then closes the listener.
+        """
+        with self._lock:
+            self._shutdown = True
+            conn = self._conn
+        for sock in (self._listener, conn):
+            if sock is None:
+                continue
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
     def serve_forever(self) -> int:
         """Accept one master connection at a time until shutdown."""
@@ -126,10 +143,20 @@ class SocketWorker:
                     continue
                 except OSError:
                     break
-                with conn:
+                with self._lock:
+                    if self._shutdown:
+                        conn.close()
+                        break
+                    self._conn = conn
+                try:
                     self._serve_connection(conn)
+                finally:
+                    with self._lock:
+                        self._conn = None
+                    conn.close()
         finally:
             self.close()
+            self._listener.close()
         return 0
 
     def _serve_connection(self, conn: socket.socket) -> None:
@@ -269,6 +296,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-telemetry", action="store_true",
                         help="disable span/metric collection and reply piggybacking")
     args = parser.parse_args(argv if argv is not None else sys.argv[1:])
+    # SIGTERM/SIGINT reach a waiter thread through the wakeup fd, which
+    # the C-level handler writes at once, whichever thread takes the
+    # signal.  A Python-level handler alone stays pending while the main
+    # thread sits in recv(), so the stop could go unserved; the handlers
+    # installed here only replace the default kill with a no-op.
+    wake_r, wake_w = socket.socketpair()
+    wake_w.setblocking(False)
+    signal.set_wakeup_fd(wake_w.fileno())
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda *_: None)
     try:
         worker = SocketWorker(
             args.app_spec, host=args.host, port=args.port,
@@ -279,7 +316,13 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(json.dumps({"status": "fatal", "message": str(exc)}), flush=True)  # repro: allow[bare-print] -- stdout announce line IS the wire protocol
         return 1
-    signal.signal(signal.SIGTERM, lambda *_: worker.close())
+
+    def _await_stop_signal() -> None:
+        wake_r.recv(1)
+        worker.close()
+
+    threading.Thread(target=_await_stop_signal, daemon=True,
+                     name="apstdv-worker-signals").start()
     print(  # repro: allow[bare-print] -- stdout announce line IS the wire protocol
         json.dumps({"status": "ready", "host": worker.host, "port": worker.port}),
         flush=True,

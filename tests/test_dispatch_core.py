@@ -1,7 +1,7 @@
 """The unified dispatch core: cross-backend parity, retry, observability.
 
-The four backends (simulation, threaded local, worker processes, remote
-socket workers) are adapters over one
+The three backends (simulation, threaded local, remote socket workers)
+are adapters over one
 :class:`repro.dispatch.core.DispatchCore`.  These tests pin the property
 that justifies the refactor: the scheduling algorithm makes identical
 decisions no matter which substrate executes them.
@@ -61,9 +61,9 @@ class TestCrossBackendParity:
     ):
         """DETERMINISTIC costs + oracle estimates -> same (units, worker)
 
-        sequence on the simulator, the threaded backend, the process
-        backend, and the remote socket backend.  This is the refactor's
-        core guarantee: one loop, four substrates, zero behavioral drift.
+        sequence on the simulator, the threaded backend, and the remote
+        socket backend.  This is the refactor's core guarantee: one loop,
+        three substrates, zero behavioral drift.
         """
         signatures = {
             kind: chunk_signature(
@@ -71,10 +71,9 @@ class TestCrossBackendParity:
                             stepsize=STEPSIZE, workdir=tmp_path,
                             time_scale=0.01)
             )
-            for kind in ("simulation", "local", "process", "remote")
+            for kind in ("simulation", "local", "remote")
         }
         assert signatures["local"] == signatures["simulation"]
-        assert signatures["process"] == signatures["simulation"]
         assert signatures["remote"] == signatures["simulation"]
         assert len(signatures["simulation"]) > 0
 

@@ -9,7 +9,6 @@ from repro.dispatch.parity import parity_options
 from repro.errors import ExecutionError
 from repro.execution.appspec import app_spec
 from repro.execution.local import DigestApp, LocalExecutionBackend
-from repro.execution.process_backend import ProcessExecutionBackend
 from repro.execution.testing import FlakyApp, SlowApp
 from repro.net.remote import RemoteExecutionBackend, RemoteWorkerPool
 from repro.obs import CHUNK_RETRANSMITTED, NET_WORKER_LOST, Observability
@@ -76,48 +75,6 @@ class TestLocalBackendFailures:
         with pytest.raises(ExecutionError, match="probe"):
             backend.execute(grid, make_scheduler("wf"), division, None,
                             probe_units=64.0)
-
-
-class TestProcessBackendFailures:
-    def test_chunk_failure_propagates_from_worker_process(self, grid, division,
-                                                          tmp_path):
-        # SIMPLE-n does not probe, so each worker process sees only its
-        # two real chunks; fail the second one.
-        backend = ProcessExecutionBackend(
-            tmp_path / "work",
-            app_spec=app_spec(FlakyApp, fail_on_calls=[2]),
-            time_scale=0.01,
-        )
-        with pytest.raises(ExecutionError, match="injected|failed"):
-            backend.execute(grid, make_scheduler("simple-2"), division, None,
-                            probe_units=64.0)
-
-    def test_mid_run_failure_leaves_no_live_children(self, grid, division,
-                                                     tmp_path):
-        """Every spawned worker process is reaped on the error path."""
-        backend = ProcessExecutionBackend(
-            tmp_path / "work",
-            app_spec=app_spec(FlakyApp, fail_on_calls=[2]),
-            time_scale=0.01,
-        )
-        with pytest.raises(ExecutionError):
-            backend.execute(grid, make_scheduler("simple-2"), division, None,
-                            probe_units=64.0)
-        host = backend.last_substrate.host
-        assert len(host.processes) == len(grid.workers)
-        for process in host.processes:
-            assert process.poll() is not None  # exited and reaped
-
-    def test_slow_app_is_padded_not_fatal(self, grid, division, tmp_path):
-        """A slower-than-modeled app stretches times but completes."""
-        backend = ProcessExecutionBackend(
-            tmp_path / "work",
-            app_spec=app_spec(SlowApp, delay_s=0.01),
-            time_scale=0.01,
-        )
-        report = backend.execute(grid, make_scheduler("simple-1"), division,
-                                 None, probe_units=64.0)
-        report.validate()
 
 
 class TestRemoteSocketFailures:
@@ -222,13 +179,27 @@ class TestRemoteSocketFailures:
         assert counter.value >= 1
 
     def test_pool_stop_leaves_no_live_children(self, grid, division, tmp_path):
-        """Every spawned socket worker is reaped, on success and error paths."""
+        """Every spawned socket worker is reaped after a failed run, whether
+        the socket dropped mid-chunk or the app raised inside the worker.
+        """
         pool = RemoteWorkerPool()
-        endpoints = self._spawn_with_one_dropper(pool, tmp_path)
+        endpoints = self._spawn_with_one_dropper(pool, tmp_path / "dropped")
+        self._fail_run_then_reap(pool, endpoints, grid, division,
+                                 tmp_path / "dropped", "lost mid-chunk")
+        # SIMPLE-n does not probe, so each worker process sees only its
+        # two real chunks; fail the second one.
+        pool = RemoteWorkerPool()
+        endpoints = pool.spawn(2, app_spec(FlakyApp, fail_on_calls=[2]),
+                               tmp_path / "flaky" / "workers")
+        self._fail_run_then_reap(pool, endpoints, grid, division,
+                                 tmp_path / "flaky", "injected")
+
+    @staticmethod
+    def _fail_run_then_reap(pool, endpoints, grid, division, workdir, match):
         backend = RemoteExecutionBackend(
-            endpoints, tmp_path / "results", time_scale=0.01
+            endpoints, workdir / "results", time_scale=0.01
         )
-        with pytest.raises(ExecutionError):
+        with pytest.raises(ExecutionError, match=match):
             backend.execute(
                 grid, make_scheduler("simple-2"), division, None,
                 options=parity_options(),
@@ -237,7 +208,24 @@ class TestRemoteSocketFailures:
         pool.stop()
         pool.stop()  # idempotent
         for process in pool.processes:
-            assert process.poll() is not None  # exited and reaped
+            assert process.poll() == 0  # exited cleanly and reaped
+
+    def test_slow_app_is_padded_not_fatal(self, grid, division, tmp_path):
+        """A slower-than-modeled app stretches times but completes, and
+        every chunk's compute time is padded up to its modeled cost.
+        """
+        with RemoteWorkerPool() as pool:
+            endpoints = pool.spawn(2, app_spec(SlowApp, delay_s=0.01),
+                                   tmp_path / "workers")
+            backend = RemoteExecutionBackend(
+                endpoints, tmp_path / "results", time_scale=0.01
+            )
+            report = backend.execute(grid, make_scheduler("simple-1"),
+                                     division, None, probe_units=64.0)
+        report.validate()
+        for chunk in report.chunks:
+            modeled = grid.workers[chunk.worker_index].compute_time(chunk.units)
+            assert chunk.compute_end - chunk.compute_start >= modeled * (1 - 1e-9)
 
     def test_failed_spawn_reaps_partial_fleet(self, tmp_path):
         """A bad app spec on worker 2 must not leak worker 1."""

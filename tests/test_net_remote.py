@@ -1,11 +1,13 @@
 """Socket workers and the remote execution backend."""
 
 import json
+import os
 import socket
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ from repro.apst.division import UniformBytesDivision
 from repro.core.registry import make_scheduler
 from repro.dispatch.parity import parity_options
 from repro.errors import ExecutionError
-from repro.execution.appspec import app_spec
+from repro.execution.appspec import app_spec, load_app
 from repro.execution.local import DigestApp
 from repro.net import GatewayClient, GatewayConfig, JobGateway
 from repro.net.protocol import decode_payload, encode_payload
@@ -25,6 +27,9 @@ from repro.net.remote import (
 from repro.net.worker import SocketWorker
 from repro.platform.presets import das2_cluster
 from repro.platform.resources import Cluster, Grid
+
+#: what a ``python -m repro.net.worker`` child needs to import this package
+PACKAGE_ROOT = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -52,14 +57,16 @@ def worker_conn():
     stream = sock.makefile("rwb")
 
     def rpc(request):
-        stream.write(json.dumps(request).encode() + b"\n")
+        frame = request if isinstance(request, bytes) else json.dumps(request).encode()
+        stream.write(frame + b"\n")
         stream.flush()
         return json.loads(stream.readline())
 
     yield rpc
-    sock.close()
-    worker.close()
+    worker.close()  # with the master still connected
     thread.join(timeout=5)
+    assert not thread.is_alive()
+    sock.close()
 
 
 class TestSocketWorkerProtocol:
@@ -91,8 +98,82 @@ class TestSocketWorkerProtocol:
     def test_unknown_cmd_is_an_error_reply(self, worker_conn):
         assert worker_conn({"cmd": "launder"})["status"] == "error"
 
+    def test_non_json_frame_is_an_error_reply(self, worker_conn):
+        reply = worker_conn(b"{not json}")
+        assert reply["status"] == "error"
+        assert "bad request" in reply["message"]
+        assert worker_conn({"cmd": "ping"})["status"] == "ok"  # still serving
+
     def test_shutdown_says_bye(self, worker_conn):
         assert worker_conn({"cmd": "shutdown"})["status"] == "bye"
+
+
+class TestPromptShutdown:
+    """Stopping a worker never waits out a timeout, even mid-connection."""
+
+    def test_close_wakes_serve_forever_with_a_client_connected(self):
+        worker = SocketWorker(app_spec(DigestApp))
+        thread = threading.Thread(target=worker.serve_forever, daemon=True)
+        thread.start()
+        with socket.create_connection((worker.host, worker.port), timeout=10) as sock:
+            stream = sock.makefile("rwb")
+            stream.write(b'{"cmd": "ping"}\n')
+            stream.flush()
+            assert json.loads(stream.readline())["status"] == "ok"  # being served
+            worker.close()
+            thread.join(timeout=1.0)
+            assert not thread.is_alive()
+            assert stream.readline() == b""  # the worker hung up
+
+    def test_pool_stop_with_held_connections_exits_cleanly(self, tmp_path):
+        pool = RemoteWorkerPool()
+        endpoints = pool.spawn(2, app_spec(DigestApp), tmp_path / "workers")
+        socks = [socket.create_connection(e.address, timeout=10) for e in endpoints]
+        try:
+            for sock in socks:  # each worker is inside this connection now
+                sock.sendall(b'{"cmd": "ping"}\n')
+                assert json.loads(sock.makefile("rb").readline())["status"] == "ok"
+            start = time.monotonic()
+            pool.stop()
+            elapsed = time.monotonic() - start
+        finally:
+            pool.stop()
+            for sock in socks:
+                sock.close()
+        assert elapsed < 2.0
+        assert [p.returncode for p in pool.processes] == [0, 0]
+
+
+class TestAppSpec:
+    def test_round_trip(self):
+        spec = app_spec(DigestApp)
+        app = load_app(spec)
+        assert isinstance(app, DigestApp)
+
+    def test_kwargs_forwarded(self):
+        from repro.workloads.synthetic import SyntheticApp
+
+        spec = app_spec(SyntheticApp, flops_per_unit=123.0)
+        app = load_app(spec)
+        assert app._flops_per_unit == 123.0
+
+    def test_bad_specs_rejected(self):
+        with pytest.raises(ExecutionError):
+            load_app("")
+        with pytest.raises(ExecutionError):
+            load_app("no-colon")
+        with pytest.raises(ExecutionError):
+            load_app("nonexistent.module:Thing")
+        with pytest.raises(ExecutionError):
+            load_app("repro.execution.local:NotAClass")
+        with pytest.raises(ExecutionError):
+            load_app("repro.execution.local:DigestApp|{bad json")
+        with pytest.raises(ExecutionError):
+            load_app('repro.execution.local:DigestApp|[1,2]')
+
+    def test_non_processor_rejected(self):
+        with pytest.raises(ExecutionError, match="process"):
+            load_app("pathlib:PurePath")
 
 
 class TestWorkerPoolStartup:
@@ -114,6 +195,17 @@ class TestWorkerPoolStartup:
         assert time.monotonic() - start < 10  # bounded, not readline-forever
         assert process.poll() is not None  # killed and reaped
         pool.stop()
+
+    def test_unimportable_app_prints_fatal_and_exits_1(self, tmp_path):
+        env = os.environ.copy()
+        env["PYTHONPATH"] = PACKAGE_ROOT + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.net.worker",
+             "repro.tests.no_such:App", str(tmp_path / "w0")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 1
+        assert json.loads(result.stdout.splitlines()[0])["status"] == "fatal"
 
 
 class _RecordingCore:

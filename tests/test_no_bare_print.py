@@ -3,8 +3,8 @@
 Library code must report through the ``repro.obs`` logging bridge (so that
 ``-v``/``-q`` control verbosity uniformly) or return strings for a renderer
 to display.  Bare prints are allowed only in the user-facing entry points
-below, which *are* the renderers, plus the worker subprocess whose stdout
-IS its wire protocol.  CI enforces the same rule via ruff's flake8-print
+below, which *are* the renderers, plus the socket worker whose stdout
+carries its ready/fatal announce line.  CI enforces the same rule via ruff's flake8-print
 (T201) with matching per-file ignores; this test keeps the gate alive in
 environments without ruff.
 """
@@ -19,7 +19,6 @@ ALLOWED = {
     "cli.py",  # CLI renderer: stdout is the product
     "apst/console.py",  # interactive console renderer
     "analysis/lint/cli.py",  # lint reporter: stdout is the product
-    "execution/worker_proc.py",  # JSON-lines protocol over stdout
     "net/worker.py",  # socket worker: stdout carries the ready/fatal announce line
     "workloads/video_callback.py",  # standalone callback script (stderr usage)
 }

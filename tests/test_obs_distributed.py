@@ -434,9 +434,9 @@ class TestDistributedTraceEndToEnd:
         _, trace, _ = traced_run
         spans = trace["spans"]
         processes = {s["process"] for s in spans}
-        worker_processes = {p for p in processes if p.startswith("netw")}
+        worker_names = {p for p in processes if p.startswith("netw")}
         assert {"gateway", "daemon"} <= processes
-        assert len(worker_processes) == 2
+        assert len(worker_names) == 2
 
         # one trace: every identified span shares the submit's trace id
         trace_ids = {s["trace_id"] for s in spans if s.get("trace_id")}
@@ -448,7 +448,7 @@ class TestDistributedTraceEndToEnd:
         by_id = {s["span_id"]: s for s in spans if s.get("span_id")}
         worker_chunk_spans = [
             s for s in spans
-            if s["process"] in worker_processes and s["name"].startswith("chunk.")
+            if s["process"] in worker_names and s["name"].startswith("chunk.")
         ]
         assert worker_chunk_spans
         for span in worker_chunk_spans:
@@ -457,7 +457,7 @@ class TestDistributedTraceEndToEnd:
             assert parent["process"] == "daemon"
 
         # both workers measured an offset from real round trips
-        assert set(trace["clock_offsets"]) == worker_processes
+        assert set(trace["clock_offsets"]) == worker_names
         for estimate in trace["clock_offsets"].values():
             assert estimate["samples"] >= 1
             assert estimate["rtt_s"] >= 0.0

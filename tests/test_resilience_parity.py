@@ -3,7 +3,7 @@
 Recovery is core policy, not backend behavior: an injected crash,
 straggler, or probe-phase death must produce the *same* resilience
 decision log (escalations, quarantines, redirects, speculations) on the
-simulator and on all three real substrates.  The scenarios are scripted
+simulator and on both real substrates.  The scenarios are scripted
 at deterministic points in the serialized-dispatch order, so the logs
 are pinned exactly -- any drift is a regression in the unified core.
 """
@@ -89,7 +89,7 @@ def test_scenario_decision_log_is_pinned_on_simulation(
 def test_scenario_decision_log_is_identical_on_every_backend(
     scenario, load_file, tmp_path
 ):
-    """The tentpole guarantee: one recovery policy, four substrates."""
+    """The tentpole guarantee: one recovery policy, three substrates."""
     logs = {
         kind: run_failure_scenario(
             scenario, kind, load_file, workdir=tmp_path / kind
